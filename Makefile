@@ -1,10 +1,11 @@
 # Local targets mirror .github/workflows/ci.yml exactly — `make ci`
-# runs everything the pipeline runs.
+# runs everything the pipeline runs, except the pull-request-only
+# kernel oracle, which needs a base ref: `make oracle BASE=<ref>`.
 
 GO      ?= go
 WORKERS ?= 0# sweep workers: 0 = all CPUs, 1 = serial
 
-.PHONY: build test race bench bench-all bench-compare lint sweep smoke results scenarios serve-smoke metrics-smoke fleet-smoke ci
+.PHONY: build test race bench bench-all bench-compare lint sweep smoke results scenarios serve-smoke metrics-smoke fleet-smoke oracle ci
 
 build:
 	$(GO) build ./...
@@ -133,5 +134,26 @@ metrics-smoke:
 # be byte-identical (runcmp) to a serial run.
 fleet-smoke:
 	sh scripts/fleet-smoke.sh
+
+# The kernel oracle from internal/sim/DESIGN.md: every experiment's
+# quick output from this tree must be byte-identical to BASE's (any git
+# ref), with only the wall-clock trailer stripped. BASE is checked out
+# into a temporary git worktree under ORACLE_DIR and removed afterwards.
+ORACLE_DIR  ?= /tmp/lockin-oracle
+ORACLE_ARGS  = -experiment all -quick -scale 0.25 -workers 4
+oracle:
+	@if [ -z "$(BASE)" ]; then echo "usage: make oracle BASE=<git ref>" >&2; exit 2; fi
+	rm -rf $(ORACLE_DIR)
+	git worktree prune
+	git worktree add --detach $(ORACLE_DIR)/base $(BASE)
+	cd $(ORACLE_DIR)/base && $(GO) build -o $(ORACLE_DIR)/lockbench-base ./cmd/lockbench; \
+		status=$$?; cd $(CURDIR) && git worktree remove --force $(ORACLE_DIR)/base; exit $$status
+	$(GO) build -o $(ORACLE_DIR)/lockbench-head ./cmd/lockbench
+	$(ORACLE_DIR)/lockbench-base $(ORACLE_ARGS) > $(ORACLE_DIR)/base-raw.txt
+	$(ORACLE_DIR)/lockbench-head $(ORACLE_ARGS) > $(ORACLE_DIR)/head-raw.txt
+	sed '/done in/d' $(ORACLE_DIR)/base-raw.txt > $(ORACLE_DIR)/base.txt
+	sed '/done in/d' $(ORACLE_DIR)/head-raw.txt > $(ORACLE_DIR)/head.txt
+	diff -u $(ORACLE_DIR)/base.txt $(ORACLE_DIR)/head.txt
+	@echo "oracle: output byte-identical to $(BASE)"
 
 ci: lint build test race smoke results scenarios serve-smoke fleet-smoke bench-all bench-compare

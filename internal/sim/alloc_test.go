@@ -45,8 +45,8 @@ func TestCancelSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestProcSleepSteadyStateZeroAlloc: a parked/woken proc pair in steady
-// state — typed wake events plus the token handoff — allocates nothing
-// per sleep.
+// state — typed wake events plus the coroutine switches — allocates
+// nothing per sleep.
 func TestProcSleepSteadyStateZeroAlloc(t *testing.T) {
 	k := NewKernel(1)
 	for i := 0; i < 2; i++ {

@@ -40,8 +40,8 @@ func BenchmarkKernelScheduleCancel(b *testing.B) {
 }
 
 // BenchmarkProcParkWake measures the self-wake path: a proc that sleeps
-// repeatedly with no interleaving events, i.e. park + timer wake with
-// the control token returning to the same proc.
+// repeatedly with no interleaving events, i.e. park + timer wake, one
+// coroutine round trip between the proc and the Run loop per sleep.
 func BenchmarkProcParkWake(b *testing.B) {
 	k := NewKernel(1)
 	n := b.N
@@ -56,8 +56,9 @@ func BenchmarkProcParkWake(b *testing.B) {
 }
 
 // BenchmarkProcHandoff measures the cross-proc transfer path: two procs
-// whose sleep wakes interleave, so every park hands control to the other
-// proc (the pattern of every lock handover in the simulator).
+// whose sleep wakes interleave, so every park passes control through the
+// Run loop to the other proc (the pattern of every lock handover in the
+// simulator).
 func BenchmarkProcHandoff(b *testing.B) {
 	k := NewKernel(1)
 	n := b.N

@@ -1,12 +1,15 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // ProcState describes the lifecycle of a simulated thread.
 type ProcState int
 
 const (
-	// ProcNew means the goroutine has not started executing the body yet.
+	// ProcNew means the Proc has not started executing the body yet.
 	ProcNew ProcState = iota
 	// ProcRunning means the Proc is the currently executing simulation actor.
 	ProcRunning
@@ -30,33 +33,21 @@ func (s ProcState) String() string {
 	return fmt.Sprintf("ProcState(%d)", int(s))
 }
 
-// Proc is a simulated thread: a goroutine whose execution is interleaved
-// with virtual time by the kernel. Exactly one Proc (or the kernel loop)
-// runs at a time — a single control token moves between goroutines over
-// the per-proc resume channels and the kernel's token channel.
-//
-// A proc yields the token in one of two modes. After a synchronous nested
-// Wake/Start (back != nil) the token returns to the waker, which resumes
-// mid-callback. Otherwise the proc is the driver: on park it keeps popping
-// and executing events inline (Kernel.drive), so a sleep whose wake-up is
-// the next event costs zero goroutine switches, and a handover to another
-// proc costs one channel crossing instead of four.
+// Proc is a simulated thread: an iter.Pull coroutine whose execution is
+// interleaved with virtual time by the kernel. Exactly one Proc (or the
+// kernel loop) runs at a time. Resuming a proc (Start, Wake, or a timed
+// wake-up popped by Run) runs it until it parks or its body returns, and
+// control then returns to whoever resumed it.
 type Proc struct {
-	k      *Kernel
-	id     int
-	name   string
-	state  ProcState
-	resume chan struct{} // control token handed to this proc
-	back   chan struct{} // non-nil: waker to resume on yield; nil: driver
-	body   func(*Proc)
+	k     *Kernel
+	id    int
+	name  string
+	state ProcState
+	body  func(*Proc)
+	next  func() (struct{}, bool) // resumes the coroutine
+	yield func(struct{}) bool     // parks the coroutine
 
-	// wokenInline records a Wake delivered while this proc was itself
-	// driving the event loop: the waking callback runs beneath the
-	// proc's own park frame, so the wake is marked here and the body
-	// resumes when the callback returns (see Kernel.drive).
-	wokenInline bool
-
-	// WakeVal carries an optional token from the waker to the parked
+	// WakeVal carries an optional value from the waker to the parked
 	// proc (e.g. futex wake reason). Zero when woken by a timer.
 	WakeVal uint64
 }
@@ -64,16 +55,7 @@ type Proc struct {
 // NewProc creates a simulated thread that will execute body when started.
 // The Proc does not run until Start (typically via a scheduled event).
 func (k *Kernel) NewProc(id int, name string, body func(*Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		id:     id,
-		name:   name,
-		state:  ProcNew,
-		resume: make(chan struct{}),
-		body:   body,
-	}
-	k.procs = append(k.procs, p)
-	return p
+	return &Proc{k: k, id: id, name: name, state: ProcNew, body: body}
 }
 
 // ID returns the numeric identifier given at creation.
@@ -91,67 +73,27 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the kernel's current virtual time.
 func (p *Proc) Now() Cycles { return p.k.now }
 
-// Start launches the Proc's goroutine and runs it until its first park.
-// Must be called from kernel context (an event callback) or before Run.
+// Start creates the Proc's coroutine and runs it until its first park.
+// Must be called from simulation context (an event callback or a running
+// Proc) or before Run.
 func (p *Proc) Start() {
 	if p.state != ProcNew {
 		panic("sim: Start on a non-new Proc")
 	}
-	go p.run()
-	p.k.transfer(p)
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.body(p)
+		p.state = ProcDone
+	})
+	p.state = ProcRunning
+	p.next()
 }
 
-// run is the proc goroutine: wait for the first token, execute the body,
-// then release the token. A panic anywhere on this goroutine (the body or
-// an event callback executed while driving) is trapped and forwarded so
-// it re-raises out of Kernel.Run on the kernel goroutine.
-func (p *Proc) run() {
-	defer func() {
-		if r := recover(); r != nil {
-			p.state = ProcDone
-			if p.k.trap == nil {
-				p.k.trap = r
-			}
-			if ch := p.back; ch != nil {
-				p.back = nil
-				ch <- struct{}{}
-				return
-			}
-			p.k.active = nil
-			p.k.token <- struct{}{}
-		}
-	}()
-	<-p.resume
-	p.body(p)
-	p.state = ProcDone
-	p.finish()
-}
-
-// finish releases the control token after the body returned: back to a
-// nested waker, or — when this proc was the driver — by driving the event
-// loop until the token moves on.
-func (p *Proc) finish() {
-	if ch := p.back; ch != nil {
-		p.back = nil
-		ch <- struct{}{}
-		return
-	}
-	p.k.drive(nil)
-}
-
-// park blocks the calling proc goroutine until it is woken. A nested-woken
-// proc returns the token to its waker; a driver keeps executing events
-// inline and, if the next wake-up is its own, continues without blocking.
+// park suspends the calling proc and returns control to whoever resumed
+// it; it returns when the proc is next woken.
 func (p *Proc) park() {
 	p.state = ProcParked
-	if ch := p.back; ch != nil {
-		p.back = nil
-		ch <- struct{}{}
-	} else if p.k.drive(p) {
-		p.state = ProcRunning
-		return
-	}
-	<-p.resume
+	p.yield(struct{}{})
 }
 
 // Park blocks the proc until some other actor calls Wake. The returned
@@ -162,40 +104,22 @@ func (p *Proc) Park() uint64 {
 	return p.WakeVal
 }
 
-// Wake unparks p with the given token. Called from a running proc, control
-// transfers to p immediately and returns here once p parks or finishes
-// again. Called from an event callback, the wake must be the callback's
-// last observable action (no scheduling, RNG draws or further wakes after
-// it — consecutive wakes are fine) and delivery is optimized: p resumes
-// when the callback returns, by tail handoff, or inline when the callback
-// is already executing on p's own driving goroutine.
+// Wake unparks p with the given value and runs it until it parks or
+// finishes again; control then returns to the caller. Wake is synchronous
+// from any simulation context: a running proc, an event callback, or the
+// kernel loop delivering a timed wake-up.
 func (p *Proc) Wake(val uint64) {
 	if p.state != ProcParked {
 		panic(fmt.Sprintf("sim: Wake on proc %q in state %v", p.name, p.state))
 	}
 	p.WakeVal = val
-	k := p.k
-	if k.driver == p {
-		p.wokenInline = true
-		return
-	}
-	if k.inCallback {
-		if q := k.deferred; q != nil {
-			// Second wake from one callback: run the first-woken proc to
-			// its next park now, preserving wake order, and defer this one.
-			k.deferred = nil
-			k.transfer(q)
-		}
-		k.deferred = p
-		return
-	}
-	k.transfer(p)
+	p.state = ProcRunning
+	p.next()
 }
 
-// WakeAt schedules p to be woken at now+d with the given token and returns
-// the timer event (cancellable). The wake-up is a typed event — no closure
-// is allocated, and the kernel delivers it with at most one goroutine
-// switch (zero when p itself is driving the event loop).
+// WakeAt schedules p to be woken at now+d with the given value and returns
+// the timer event (cancellable). The wake-up is a typed event, so no
+// closure is allocated.
 func (p *Proc) WakeAt(d Cycles, val uint64) Event {
 	return p.k.scheduleWake(d, p, val)
 }

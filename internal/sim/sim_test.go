@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -77,14 +78,37 @@ func TestKernelRunUntilEmptyQueueAdvancesClock(t *testing.T) {
 }
 
 func TestKernelStop(t *testing.T) {
-	k := NewKernel(1)
-	n := 0
-	k.Schedule(1, func() { n++; k.Stop() })
-	k.Schedule(2, func() { n++ })
-	k.Run(0)
-	if n != 1 {
-		t.Fatalf("Stop did not halt the loop: n=%d", n)
-	}
+	t.Run("callback", func(t *testing.T) {
+		k := NewKernel(1)
+		n := 0
+		k.Schedule(1, func() { n++; k.Stop() })
+		k.Schedule(2, func() { n++ })
+		k.Run(0)
+		if n != 1 {
+			t.Fatalf("Stop did not halt the loop: n=%d", n)
+		}
+	})
+	t.Run("proc body", func(t *testing.T) {
+		k := NewKernel(1)
+		var seen []Cycles
+		p := k.Go(0, "p", 0, func(p *Proc) {
+			p.Sleep(10)
+			seen = append(seen, p.Now())
+			p.Kernel().Stop()
+			p.Sleep(10)
+			seen = append(seen, p.Now())
+		})
+		if end := k.Run(0); end != 10 || len(seen) != 1 {
+			t.Fatalf("Stop from a proc: Run returned at %d with %v, want 10 with [10]", end, seen)
+		}
+		if p.State() != ProcParked || k.Pending() != 1 {
+			t.Fatalf("after Stop: proc %v with %d pending, want parked with 1", p.State(), k.Pending())
+		}
+		if end := k.Run(0); end != 20 || len(seen) != 2 || seen[1] != 20 || !p.Done() {
+			t.Fatalf("second Run: returned at %d with %v (proc %v), want 20 with [10 20] and done",
+				end, seen, p.State())
+		}
+	})
 }
 
 func TestEventsScheduledDuringRun(t *testing.T) {
@@ -169,6 +193,104 @@ func TestProcWakeFromOtherProc(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order %v, want %v", order, want)
 		}
+	}
+}
+
+// TestWakeFromCallbackIsSynchronous: a Wake issued by an event callback
+// runs the woken proc to its next park before Wake returns, so the
+// callback may go on to schedule events and draw randomness, and those
+// come after everything the woken proc did.
+func TestWakeFromCallbackIsSynchronous(t *testing.T) {
+	k := NewKernel(1)
+	var trace []string
+	var procDraw, cbDraw int
+	p := k.NewProc(0, "p", func(p *Proc) {
+		if v := p.Park(); v != 7 {
+			t.Errorf("WakeVal = %d, want 7", v)
+		}
+		procDraw = p.Kernel().Rand().Intn(1 << 30)
+		trace = append(trace, "proc woken")
+		p.Park()
+	})
+	k.Schedule(0, p.Start)
+	k.Schedule(10, func() {
+		p.Wake(7)
+		if p.State() != ProcParked {
+			t.Errorf("after Wake returned the proc is %v, want parked", p.State())
+		}
+		trace = append(trace, "callback after wake")
+		cbDraw = k.Rand().Intn(1 << 30)
+		k.Schedule(5, func() { trace = append(trace, "scheduled after wake") })
+	})
+	if end := k.Drain(); end != 15 {
+		t.Fatalf("Drain ended at %d, want 15", end)
+	}
+	want := []string{"proc woken", "callback after wake", "scheduled after wake"}
+	if len(trace) != len(want) {
+		t.Fatalf("trace %v, want %v", trace, want)
+	}
+	for i := range want {
+		if trace[i] != want[i] {
+			t.Fatalf("trace %v, want %v", trace, want)
+		}
+	}
+	ref := rand.New(rand.NewSource(1))
+	if first, second := ref.Intn(1<<30), ref.Intn(1<<30); procDraw != first || cbDraw != second {
+		t.Fatalf("draws proc=%d callback=%d, want proc first (%d) then callback (%d)",
+			procDraw, cbDraw, first, second)
+	}
+}
+
+// runRecover runs k to completion and returns the value Run panicked
+// with, or nil.
+func runRecover(k *Kernel) (r any) {
+	defer func() { r = recover() }()
+	k.Drain()
+	return nil
+}
+
+type boom struct{ where string }
+
+// TestRunPropagatesPanics: a panic anywhere in simulation context leaves
+// Run with its original value, whichever proc or callback raised it.
+func TestRunPropagatesPanics(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(t *testing.T, k *Kernel)
+	}{
+		{"proc body", func(t *testing.T, k *Kernel) {
+			k.Go(0, "p", 0, func(p *Proc) {
+				p.Sleep(5)
+				panic(boom{"proc body"})
+			})
+		}},
+		{"proc woken by another proc", func(t *testing.T, k *Kernel) {
+			a := k.Go(0, "a", 0, func(p *Proc) {
+				p.Park()
+				panic(boom{"proc woken by another proc"})
+			})
+			k.Go(1, "b", 1, func(p *Proc) {
+				p.Sleep(10)
+				a.Wake(1)
+				t.Error("waker continued after the woken proc panicked")
+			})
+		}},
+		{"callback after a park", func(t *testing.T, k *Kernel) {
+			k.Go(0, "p", 0, func(p *Proc) {
+				p.Sleep(5)
+				p.Park()
+			})
+			k.Schedule(10, func() { panic(boom{"callback after a park"}) })
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			k := NewKernel(1)
+			c.setup(t, k)
+			if r := runRecover(k); r != (boom{c.name}) {
+				t.Fatalf("Run panicked with %v, want %v", r, boom{c.name})
+			}
+		})
 	}
 }
 
