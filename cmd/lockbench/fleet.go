@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -71,27 +73,22 @@ func runCoordinate(args []string) {
 		os.Exit(2)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: co.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	logger.Info("coordinating", "addr", *addr, "experiment", co.Status().Experiment)
-
-	select {
-	case err := <-errc:
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "lockbench coordinate: %v\n", err)
 		os.Exit(1)
-	case <-ctx.Done():
-		logger.Info("interrupted; abandoning the fleet")
-		os.Exit(1)
-	case <-co.Done():
 	}
-	// Give in-flight lease polls a moment to hear "done" so workers
-	// exit cleanly, then stop listening.
-	shutCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	go hs.Shutdown(shutCtx)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	logger.Info("coordinating", "addr", *addr, "experiment", co.Status().Experiment)
+	if err := serveFleet(ctx, &http.Server{Handler: co.Handler()}, ln, co, logger); err != nil {
+		if ctx.Err() != nil {
+			logger.Info("interrupted; abandoning the fleet")
+		} else {
+			fmt.Fprintf(os.Stderr, "lockbench coordinate: %v\n", err)
+		}
+		os.Exit(1)
+	}
 
 	run := co.Result()
 	fmt.Printf("### %s — merged from the fleet\n\n", run.Meta.Experiment)
@@ -108,6 +105,32 @@ func runCoordinate(args []string) {
 		}
 		fmt.Printf("### saved %s\n\n", path)
 	}
+}
+
+// serveFleet serves the coordinator on ln until its run is complete,
+// then stops listening and waits for in-flight requests to finish. The
+// request that completed the run is among them: returning earlier lets
+// the process exit while that handler is still writing its response,
+// and the worker that posted the final chunk reads EOF instead.
+func serveFleet(ctx context.Context, hs *http.Server, ln net.Listener, co *fleet.Coordinator, logger *slog.Logger) error {
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-co.Done():
+	}
+	// Give in-flight lease polls a moment to hear "done" so workers
+	// exit cleanly. A handler still running at the deadline is cut off;
+	// the merged run is complete either way.
+	shutCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	if err := hs.Shutdown(shutCtx); err != nil {
+		logger.Warn("coordinator shutdown", "err", err)
+	}
+	return nil
 }
 
 // runWork is the `lockbench work` subcommand: one fleet worker. It

@@ -205,6 +205,19 @@ type ctxState struct {
 }
 
 // Meter integrates power over virtual time for one machine.
+//
+// The meter is incremental but bit-identical to a full re-walk of every
+// core. It caches, per core, the activity watts bestW + extraW*HTFraction
+// and, per context, DRAMActivityW[act] and the core's VF scale. recompute
+// forms the same terms from them, coreW*scale and dramW*scale, and adds
+// them in the walk's original order: cores socket-major, DRAM context by
+// context within each core. The walk keeps the original expressions,
+// multiply then add, so it also matches where the compiler fuses the two
+// (arm64). The running sums before each core and context are kept, so a
+// rebuild resumes at the lowest dirty core instead of core 0. A core's
+// DRAM terms are never folded into a per-core subtotal: dram accumulates
+// context by context across cores, and a subtotal would change the
+// association, and with it the bits.
 type Meter struct {
 	k    *sim.Kernel
 	cfg  Config
@@ -214,37 +227,65 @@ type Meter struct {
 	lastAt sim.Cycles
 	// Accumulated energy in Watt-cycles (divide by Hz for Joules).
 	accPkg, accCores, accDRAM float64
-	// Current instantaneous powers, recomputed on state changes.
+	// Current instantaneous powers, recomputed on state changes. The
+	// rebuild is deferred until the powers are actually consumed — the
+	// next time-advancing integrate or an instantaneous reading — so a
+	// burst of transitions at one virtual instant (context switch: VF +
+	// activity; wake-up chains) costs a single recompute.
 	curPkg, curCores, curDRAM float64
-	// dirty marks cur* stale after a state change. The rebuild is deferred
-	// until the powers are actually consumed — the next time-advancing
-	// integrate or an instantaneous reading — so a burst of transitions at
-	// one virtual instant (context switch: VF + activity; wake-up chains)
-	// costs a single recompute instead of one per transition.
-	dirty bool
 
-	// socketActive is recompute's scratch buffer (one flag per socket),
-	// kept on the meter so the per-transition hot path does not allocate.
-	socketActive []bool
+	// dirty lists the cores whose cached watts are stale (each at most
+	// once, guarded by isDirty), so it never grows past the core count.
+	dirty   []int
+	isDirty []bool
 
-	// busy counts, per core, the contexts not in IdleDeep. When the
-	// configuration draws exactly zero Watts for IdleDeep (skipDeep), a
-	// core with busy == 0 contributes exactly 0.0 to every sum, and
-	// adding 0.0 to a non-negative float is bit-exact — recompute skips
-	// such cores without changing any accumulated value.
-	busy     []int16
-	skipDeep bool
+	// Per-core caches: coreW[c] is core c's activity watts at VF-max,
+	// vfMax[c] its effective VF, coreScale[c] the matching power scale
+	// (1 or VFMinScale), and coresAt[c] the cores sum before it
+	// (coresAt[NumCores]: the total).
+	coreW, coreScale, coresAt []float64
+	vfMax                     []bool
+	// Per-context caches, core-major (index c*ThreadsPerCore+ht): dramW
+	// is the context's DRAM watts at VF-max, ctxScale its core's
+	// coreScale, and dramAt the dram sum before it (dramAt[NumContexts]:
+	// the total).
+	dramW, ctxScale, dramAt []float64
+
+	// Per-socket counters replacing the per-rebuild scans: contexts not
+	// idle (the uncore is active) and cores at VF-max (the uncore runs at
+	// VF-max).
+	socketNonIdle, socketVFMax []int
 }
 
 // NewMeter creates a meter with every context idle-deep at VF-max.
 func NewMeter(k *sim.Kernel, cfg Config, t topo.Topology) *Meter {
+	nc, nctx := t.NumCores(), t.NumContexts()
 	m := &Meter{
 		k: k, cfg: cfg, topo: t,
-		ctxs:         make([]ctxState, t.NumContexts()),
-		socketActive: make([]bool, t.Sockets),
-		busy:         make([]int16, t.NumCores()),
-		skipDeep:     cfg.ActivityW[IdleDeep] == 0 && cfg.DRAMActivityW[IdleDeep] == 0,
+		ctxs:          make([]ctxState, nctx),
+		dirty:         make([]int, 0, nc),
+		isDirty:       make([]bool, nc),
+		coreW:         make([]float64, nc),
+		coreScale:     make([]float64, nc),
+		coresAt:       make([]float64, nc+1),
+		vfMax:         make([]bool, nc),
+		dramW:         make([]float64, nctx),
+		ctxScale:      make([]float64, nctx),
+		dramAt:        make([]float64, nctx+1),
+		socketNonIdle: make([]int, t.Sockets),
+		socketVFMax:   make([]int, t.Sockets),
 	}
+	for c := range m.vfMax {
+		m.vfMax[c], m.coreScale[c] = true, 1.0
+		m.markDirty(c)
+	}
+	for i := range m.ctxScale {
+		m.ctxScale[i] = 1.0
+	}
+	for s := range m.socketVFMax {
+		m.socketVFMax[s] = t.CoresPerSocket
+	}
+	m.dramAt[0] = cfg.DRAMBackgroundW
 	m.recompute()
 	return m
 }
@@ -268,14 +309,15 @@ func (m *Meter) SetActivity(ctx int, a Activity) {
 	}
 	m.integrate()
 	m.ctxs[ctx].act = a
-	if (old == IdleDeep) != (a == IdleDeep) {
-		if core := m.topo.CoreOf(ctx); a == IdleDeep {
-			m.busy[core]--
+	core := m.topo.CoreOf(ctx)
+	if old.IsIdle() != a.IsIdle() {
+		if s := core / m.topo.CoresPerSocket; a.IsIdle() {
+			m.socketNonIdle[s]--
 		} else {
-			m.busy[core]++
+			m.socketNonIdle[s]++
 		}
 	}
-	m.dirty = true
+	m.markDirty(core)
 }
 
 // SetVF sets a context's requested DVFS point.
@@ -285,16 +327,45 @@ func (m *Meter) SetVF(ctx int, v VF) {
 	}
 	m.integrate()
 	m.ctxs[ctx].vf = v
-	m.dirty = true
+	core, tpc := m.topo.CoreOf(ctx), m.topo.ThreadsPerCore
+	atMax := false
+	for ht := 0; ht < tpc; ht++ {
+		if m.ctxs[core+ht*m.topo.NumCores()].vf == VFMax {
+			atMax = true
+			break
+		}
+	}
+	if atMax == m.vfMax[core] {
+		// The core's effective point is unchanged, and with it its terms.
+		return
+	}
+	m.vfMax[core] = atMax
+	scale := 1.0
+	if s := core / m.topo.CoresPerSocket; atMax {
+		m.socketVFMax[s]++
+	} else {
+		m.socketVFMax[s]--
+		scale = m.cfg.VFMinScale
+	}
+	m.coreScale[core] = scale
+	for i := core * tpc; i < (core+1)*tpc; i++ {
+		m.ctxScale[i] = scale
+	}
+	m.markDirty(core)
+}
+
+func (m *Meter) markDirty(core int) {
+	if !m.isDirty[core] {
+		m.isDirty[core] = true
+		m.dirty = append(m.dirty, core)
+	}
 }
 
 // coreVF returns the effective VF of a physical core: the highest setting
 // among its hardware threads (hyper-thread siblings share a VF domain).
 func (m *Meter) coreVF(core int) VF {
-	for ht := 0; ht < m.topo.ThreadsPerCore; ht++ {
-		if m.ctxs[core+ht*m.topo.NumCores()].vf == VFMax {
-			return VFMax
-		}
+	if m.vfMax[core] {
+		return VFMax
 	}
 	return VFMin
 }
@@ -317,9 +388,8 @@ func (m *Meter) integrate() {
 	// now the per-context state is exactly what it was at lastAt: a deferred
 	// rebuild here yields the same rates (and the same summation order) as
 	// an eager one at the instant of the change.
-	if m.dirty {
+	if len(m.dirty) > 0 {
 		m.recompute()
-		m.dirty = false
 	}
 	dt := float64(now - m.lastAt)
 	m.accPkg += m.curPkg * dt
@@ -329,63 +399,62 @@ func (m *Meter) integrate() {
 }
 
 // recompute rebuilds the instantaneous power sums from per-context state.
+//
+// Only the dirty cores' cached watts are rebuilt. The sums then resume
+// from the running values stored before the lowest dirty core and walk
+// forward in index order (socket-major, matching the numbering), adding
+// the same products in the same sequence as a walk from core 0: the
+// floating-point summation order never changes. cores and dram are
+// independent accumulators, so each takes its own loop. Every term is
+// added, an all-idle-deep core's too, which the full walk skipped when
+// IdleDeep draws 0 W: its terms are then exactly +0.0, and adding +0.0
+// changes no bit of a sum that is not -0.0.
 func (m *Meter) recompute() {
 	nc := m.topo.NumCores()
 	tpc := m.topo.ThreadsPerCore
-	cores := 0.0
-	dram := m.cfg.DRAMBackgroundW
-	socketActive := m.socketActive
-	for i := range socketActive {
-		socketActive[i] = false
-	}
-	// Walk cores in index order (socket-major, matching the numbering) so
-	// the floating-point summation order never changes.
-	core := 0
-	for s := 0; s < m.topo.Sockets; s++ {
-		for end := core + m.topo.CoresPerSocket; core < end; core++ {
-			if m.skipDeep && m.busy[core] == 0 {
-				// Entirely idle-deep core: every term below is exactly
-				// 0.0, so skipping it leaves the sums bit-identical.
-				continue
+	from := nc
+	for _, core := range m.dirty {
+		m.isDirty[core] = false
+		from = min(from, core)
+		// The busiest hyper-thread pays full activity power, siblings a
+		// fraction: the core's execution resources are shared.
+		bestW, extraW := 0.0, 0.0
+		for ht := 0; ht < tpc; ht++ {
+			act := m.ctxs[core+ht*nc].act
+			w := m.cfg.ActivityW[act]
+			if w > bestW {
+				extraW += bestW
+				bestW = w
+			} else {
+				extraW += w
 			}
-			scale := 1.0
-			if m.coreVF(core) == VFMin {
-				scale = m.cfg.VFMinScale
-			}
-			// The busiest hyper-thread pays full activity power, siblings a
-			// fraction: the core's execution resources are shared.
-			bestW, extraW := 0.0, 0.0
-			for ht := 0; ht < tpc; ht++ {
-				st := m.ctxs[core+ht*nc]
-				w := m.cfg.ActivityW[st.act]
-				if w > bestW {
-					extraW += bestW
-					bestW = w
-				} else {
-					extraW += w
-				}
-				dram += m.cfg.DRAMActivityW[st.act] * scale
-				if !st.act.IsIdle() {
-					socketActive[s] = true
-				}
-			}
-			cores += (bestW + extraW*m.cfg.HTFraction) * scale
+			m.dramW[core*tpc+ht] = m.cfg.DRAMActivityW[act]
 		}
+		m.coreW[core] = bestW + extraW*m.cfg.HTFraction
+	}
+	m.dirty = m.dirty[:0]
+
+	cores := m.coresAt[from]
+	coreW, coreScale, coresAt := m.coreW[from:], m.coreScale[from:], m.coresAt[from+1:]
+	coreScale, coresAt = coreScale[:len(coreW)], coresAt[:len(coreW)]
+	for i, w := range coreW {
+		cores += w * coreScale[i]
+		coresAt[i] = cores
+	}
+	dram := m.dramAt[from*tpc]
+	dramW, ctxScale, dramAt := m.dramW[from*tpc:], m.ctxScale[from*tpc:], m.dramAt[from*tpc+1:]
+	ctxScale, dramAt = ctxScale[:len(dramW)], dramAt[:len(dramW)]
+	for i, w := range dramW {
+		dram += w * ctxScale[i]
+		dramAt[i] = dram
 	}
 	pkg := cores
 	for s := 0; s < m.topo.Sockets; s++ {
 		pkg += m.cfg.PkgStaticW
-		if socketActive[s] {
-			scale := 1.0
+		if m.socketNonIdle[s] > 0 {
 			// Uncore scales with the highest VF among the socket's cores.
-			allMin := true
-			for c := s * m.topo.CoresPerSocket; c < (s+1)*m.topo.CoresPerSocket; c++ {
-				if m.coreVF(c) == VFMax {
-					allMin = false
-					break
-				}
-			}
-			if allMin {
+			scale := 1.0
+			if m.socketVFMax[s] == 0 {
 				scale = m.cfg.VFMinScale
 			}
 			pkg += m.cfg.UncoreActiveW * scale
@@ -407,9 +476,8 @@ func (m *Meter) Energy() Energy {
 
 // InstantPower returns the current power breakdown in Watts.
 func (m *Meter) InstantPower() Breakdown {
-	if m.dirty {
+	if len(m.dirty) > 0 {
 		m.recompute()
-		m.dirty = false
 	}
 	return Breakdown{
 		Total:   m.curPkg + m.curDRAM,

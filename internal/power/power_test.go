@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -247,4 +248,368 @@ func TestBreakdownAndEnergyHelpers(t *testing.T) {
 	if b.String() == "" {
 		t.Fatal("empty breakdown string")
 	}
+}
+
+// refMeter is the meter as it was before it became incremental: every
+// rebuild re-walks every core and scans each socket's cores for the
+// uncore VF. Its recompute is kept verbatim as the reference the
+// incremental Meter must match bit for bit.
+type refMeter struct {
+	k    *sim.Kernel
+	cfg  Config
+	topo topo.Topology
+	ctxs []ctxState
+
+	lastAt                    sim.Cycles
+	accPkg, accCores, accDRAM float64
+	curPkg, curCores, curDRAM float64
+	dirty                     bool
+
+	socketActive []bool
+	busy         []int16
+	skipDeep     bool
+}
+
+func newRefMeter(k *sim.Kernel, cfg Config, t topo.Topology) *refMeter {
+	m := &refMeter{
+		k: k, cfg: cfg, topo: t,
+		ctxs:         make([]ctxState, t.NumContexts()),
+		socketActive: make([]bool, t.Sockets),
+		busy:         make([]int16, t.NumCores()),
+		skipDeep:     cfg.ActivityW[IdleDeep] == 0 && cfg.DRAMActivityW[IdleDeep] == 0,
+	}
+	m.recompute()
+	return m
+}
+
+func (m *refMeter) SetActivity(ctx int, a Activity) {
+	old := m.ctxs[ctx].act
+	if old == a {
+		return
+	}
+	m.integrate()
+	m.ctxs[ctx].act = a
+	if (old == IdleDeep) != (a == IdleDeep) {
+		if core := m.topo.CoreOf(ctx); a == IdleDeep {
+			m.busy[core]--
+		} else {
+			m.busy[core]++
+		}
+	}
+	m.dirty = true
+}
+
+func (m *refMeter) SetVF(ctx int, v VF) {
+	if m.ctxs[ctx].vf == v {
+		return
+	}
+	m.integrate()
+	m.ctxs[ctx].vf = v
+	m.dirty = true
+}
+
+func (m *refMeter) coreVF(core int) VF {
+	for ht := 0; ht < m.topo.ThreadsPerCore; ht++ {
+		if m.ctxs[core+ht*m.topo.NumCores()].vf == VFMax {
+			return VFMax
+		}
+	}
+	return VFMin
+}
+
+func (m *refMeter) EffectiveSlowdown(ctx int) float64 {
+	return m.cfg.Slowdown(m.coreVF(m.topo.CoreOf(ctx)))
+}
+
+func (m *refMeter) integrate() {
+	now := m.k.Now()
+	if now <= m.lastAt {
+		m.lastAt = now
+		return
+	}
+	if m.dirty {
+		m.recompute()
+		m.dirty = false
+	}
+	dt := float64(now - m.lastAt)
+	m.accPkg += m.curPkg * dt
+	m.accCores += m.curCores * dt
+	m.accDRAM += m.curDRAM * dt
+	m.lastAt = now
+}
+
+func (m *refMeter) recompute() {
+	nc := m.topo.NumCores()
+	tpc := m.topo.ThreadsPerCore
+	cores := 0.0
+	dram := m.cfg.DRAMBackgroundW
+	socketActive := m.socketActive
+	for i := range socketActive {
+		socketActive[i] = false
+	}
+	// Walk cores in index order (socket-major, matching the numbering) so
+	// the floating-point summation order never changes.
+	core := 0
+	for s := 0; s < m.topo.Sockets; s++ {
+		for end := core + m.topo.CoresPerSocket; core < end; core++ {
+			if m.skipDeep && m.busy[core] == 0 {
+				// Entirely idle-deep core: every term below is exactly
+				// 0.0, so skipping it leaves the sums bit-identical.
+				continue
+			}
+			scale := 1.0
+			if m.coreVF(core) == VFMin {
+				scale = m.cfg.VFMinScale
+			}
+			// The busiest hyper-thread pays full activity power, siblings a
+			// fraction: the core's execution resources are shared.
+			bestW, extraW := 0.0, 0.0
+			for ht := 0; ht < tpc; ht++ {
+				st := m.ctxs[core+ht*nc]
+				w := m.cfg.ActivityW[st.act]
+				if w > bestW {
+					extraW += bestW
+					bestW = w
+				} else {
+					extraW += w
+				}
+				dram += m.cfg.DRAMActivityW[st.act] * scale
+				if !st.act.IsIdle() {
+					socketActive[s] = true
+				}
+			}
+			cores += (bestW + extraW*m.cfg.HTFraction) * scale
+		}
+	}
+	pkg := cores
+	for s := 0; s < m.topo.Sockets; s++ {
+		pkg += m.cfg.PkgStaticW
+		if socketActive[s] {
+			scale := 1.0
+			// Uncore scales with the highest VF among the socket's cores.
+			allMin := true
+			for c := s * m.topo.CoresPerSocket; c < (s+1)*m.topo.CoresPerSocket; c++ {
+				if m.coreVF(c) == VFMax {
+					allMin = false
+					break
+				}
+			}
+			if allMin {
+				scale = m.cfg.VFMinScale
+			}
+			pkg += m.cfg.UncoreActiveW * scale
+		}
+	}
+	m.curPkg, m.curCores, m.curDRAM = pkg, cores, dram
+}
+
+func (m *refMeter) Energy() Energy {
+	m.integrate()
+	hz := m.cfg.BaseFreqGHz * 1e9
+	return Energy{
+		Package: m.accPkg / hz,
+		Cores:   m.accCores / hz,
+		DRAM:    m.accDRAM / hz,
+	}
+}
+
+func (m *refMeter) InstantPower() Breakdown {
+	if m.dirty {
+		m.recompute()
+		m.dirty = false
+	}
+	return Breakdown{
+		Total:   m.curPkg + m.curDRAM,
+		Package: m.curPkg,
+		Cores:   m.curCores,
+		DRAM:    m.curDRAM,
+	}
+}
+
+// deepConfig draws non-zero power in IdleDeep, which turns off the
+// reference walk's skip of all-idle-deep cores.
+func deepConfig() Config {
+	c := DefaultConfig()
+	c.ActivityW[IdleDeep] = 0.05
+	c.DRAMActivityW[IdleDeep] = 0.01
+	return c
+}
+
+// meterPair drives a Meter and a refMeter on one kernel through the same
+// transitions and fails on the first bit of difference.
+type meterPair struct {
+	t    testing.TB
+	k    *sim.Kernel
+	m    *Meter
+	ref  *refMeter
+	step int
+}
+
+func newMeterPair(t testing.TB, cfg Config, tp topo.Topology) *meterPair {
+	k := sim.NewKernel(1)
+	return &meterPair{t: t, k: k, m: NewMeter(k, cfg, tp), ref: newRefMeter(k, cfg, tp)}
+}
+
+func (p *meterPair) setActivity(ctx int, a Activity) {
+	p.m.SetActivity(ctx, a)
+	p.ref.SetActivity(ctx, a)
+	p.check(false)
+}
+
+func (p *meterPair) setVF(ctx int, v VF) {
+	p.m.SetVF(ctx, v)
+	p.ref.SetVF(ctx, v)
+	p.check(false)
+}
+
+func (p *meterPair) advance(d sim.Cycles) {
+	until := p.k.Now() + d
+	p.k.Schedule(d, func() {})
+	p.k.Run(until)
+	p.check(false)
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// check compares every context's slowdown and the energy counters, and
+// with instant also the instantaneous power (which forces a rebuild, so
+// callers alternate to leave bursts of dirty cores for integrate).
+func (p *meterPair) check(instant bool) {
+	p.t.Helper()
+	p.step++
+	for ctx := range p.m.ctxs {
+		if a, b := p.m.EffectiveSlowdown(ctx), p.ref.EffectiveSlowdown(ctx); !sameBits(a, b) {
+			p.t.Fatalf("step %d: ctx %d slowdown %v, reference %v", p.step, ctx, a, b)
+		}
+	}
+	if a, b := p.m.Energy(), p.ref.Energy(); !sameBits(a.Package, b.Package) ||
+		!sameBits(a.Cores, b.Cores) || !sameBits(a.DRAM, b.DRAM) {
+		p.t.Fatalf("step %d: energy %+v, reference %+v", p.step, a, b)
+	}
+	if !instant {
+		return
+	}
+	if a, b := p.m.InstantPower(), p.ref.InstantPower(); !sameBits(a.Total, b.Total) ||
+		!sameBits(a.Package, b.Package) || !sameBits(a.Cores, b.Cores) || !sameBits(a.DRAM, b.DRAM) {
+		p.t.Fatalf("step %d: instant power %+v, reference %+v", p.step, a, b)
+	}
+}
+
+var referenceCases = []struct {
+	name string
+	cfg  Config
+	topo topo.Topology
+}{
+	{"xeon", DefaultConfig(), topo.Xeon()},
+	{"corei7", DefaultConfig(), topo.CoreI7()},
+	{"xeon-deep", deepConfig(), topo.Xeon()},
+	{"3x3x3-deep", deepConfig(), topo.Topology{Sockets: 3, CoresPerSocket: 3, ThreadsPerCore: 3}},
+}
+
+// TestMeterMatchesReference drives random bursts of activity and VF
+// changes, separated by random time advances, through the incremental
+// meter and the full re-walk reference, and requires bit-identical
+// energy, power and slowdown after every step.
+func TestMeterMatchesReference(t *testing.T) {
+	for _, tc := range referenceCases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newMeterPair(t, tc.cfg, tc.topo)
+			rng := rand.New(rand.NewSource(7))
+			n := tc.topo.NumContexts()
+			for step := 0; step < 4000; step++ {
+				// A burst of transitions at one instant, as a context
+				// switch or a wake-up chain makes them.
+				for i := rng.Intn(6); i >= 0; i-- {
+					ctx := rng.Intn(n)
+					if rng.Intn(4) == 0 {
+						p.setVF(ctx, VF(rng.Intn(2)))
+					} else {
+						p.setActivity(ctx, Activity(rng.Intn(int(numActivities))))
+					}
+				}
+				p.check(step%2 == 0)
+				p.advance(sim.Cycles(1 + rng.Intn(5000)))
+			}
+		})
+	}
+}
+
+// FuzzMeterMatchesReference reads the input as (op, ctx, arg) byte
+// triples — set activity, set VF, advance time, read instant power — and
+// requires the incremental meter to match the reference bit for bit.
+func FuzzMeterMatchesReference(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 0, 2, 2, 10, 0, 1, 0, 1, 1, 20, 1, 2, 5, 5, 3, 0, 0})
+	f.Add(uint8(2), []byte{0, 3, 4, 0, 4, 0, 1, 3, 1, 3, 0, 0, 2, 1, 1})
+	f.Add(uint8(3), []byte{1, 0, 1, 1, 1, 1, 0, 0, 8, 2, 9, 9, 3, 0, 0})
+	f.Fuzz(func(t *testing.T, which uint8, ops []byte) {
+		tc := referenceCases[int(which)%len(referenceCases)]
+		p := newMeterPair(t, tc.cfg, tc.topo)
+		n := tc.topo.NumContexts()
+		for i := 0; i+2 < len(ops); i += 3 {
+			ctx, arg := int(ops[i+1])%n, int(ops[i+2])
+			switch ops[i] % 4 {
+			case 0:
+				p.setActivity(ctx, Activity(arg%int(numActivities)))
+			case 1:
+				p.setVF(ctx, VF(arg%2))
+			case 2:
+				p.advance(sim.Cycles(1 + int(ops[i+1])*arg))
+			case 3:
+				p.check(true)
+			}
+		}
+		p.check(true)
+	})
+}
+
+// transition is a self-rescheduling event: every 10 cycles it sets a
+// random context to a random activity, or one in five times to a random
+// VF point. x is the xorshift state the next pick derives from.
+func transition(obj any, x, _ uint64) {
+	m := obj.(*Meter)
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	ctx := int(x % uint64(len(m.ctxs)))
+	if x>>8%5 == 0 {
+		m.SetVF(ctx, VF(x>>16&1))
+	} else {
+		m.SetActivity(ctx, [...]Activity{Compute, SpinMbar, IdleShallow, IdleDeep}[x>>16%4])
+	}
+	m.k.ScheduleCall(10, transition, m, x, 0)
+}
+
+// TestMeterTransitionZeroAlloc pins the steady state of the hot path:
+// transitions and the rebuilds they trigger allocate nothing, and the
+// dirty list never outgrows its initial one-slot-per-core capacity.
+func TestMeterTransitionZeroAlloc(t *testing.T) {
+	k, m := newMeter()
+	k.ScheduleCall(10, transition, m, 1, 0)
+	step := func() {
+		k.Run(k.Now() + 100)
+		m.InstantPower()
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	capacity := cap(m.dirty)
+	if n := testing.AllocsPerRun(500, step); n != 0 {
+		t.Errorf("meter transitions allocate %.1f per run, want 0", n)
+	}
+	if cap(m.dirty) != capacity || capacity != topo.Xeon().NumCores() {
+		t.Errorf("dirty list capacity %d, started at %d, want %d", cap(m.dirty), capacity, topo.Xeon().NumCores())
+	}
+}
+
+// BenchmarkMeterTransition measures one simulated state change on the
+// Xeon: an event that sets a context's activity or VF, integrating the
+// interval since the previous change and rebuilding the powers it made
+// stale.
+func BenchmarkMeterTransition(b *testing.B) {
+	k, m := newMeter()
+	k.ScheduleCall(10, transition, m, 1, 0)
+	k.Run(10_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run(k.Now() + sim.Cycles(b.N)*10)
 }
