@@ -136,24 +136,30 @@ fleet-smoke:
 	sh scripts/fleet-smoke.sh
 
 # The kernel oracle from internal/sim/DESIGN.md: every experiment's
-# quick output from this tree must be byte-identical to BASE's (any git
-# ref), with only the wall-clock trailer stripped. BASE is checked out
-# into a temporary git worktree under ORACLE_DIR and removed afterwards.
+# quick output from this tree must match BASE's (any git ref) twice
+# over. The rendered tables must be byte-identical, with only the
+# wall-clock trailer stripped; and every stored run value must be equal
+# at full precision: BASE's runs are saved with -json and this tree's
+# are checked against them with -baseline -diff at the default -tol 0
+# (tables only, so the Version and Perf provenance is not compared).
+# BASE is exported with git archive into ORACLE_DIR to be built.
 ORACLE_DIR  ?= /tmp/lockin-oracle
 ORACLE_ARGS  = -experiment all -quick -scale 0.25 -workers 4
 oracle:
 	@if [ -z "$(BASE)" ]; then echo "usage: make oracle BASE=<git ref>" >&2; exit 2; fi
 	rm -rf $(ORACLE_DIR)
-	git worktree prune
-	git worktree add --detach $(ORACLE_DIR)/base $(BASE)
-	cd $(ORACLE_DIR)/base && $(GO) build -o $(ORACLE_DIR)/lockbench-base ./cmd/lockbench; \
-		status=$$?; cd $(CURDIR) && git worktree remove --force $(ORACLE_DIR)/base; exit $$status
+	mkdir -p $(ORACLE_DIR)/base
+	git archive $(BASE) | tar -x -C $(ORACLE_DIR)/base
+	cd $(ORACLE_DIR)/base && $(GO) build -o $(ORACLE_DIR)/lockbench-base ./cmd/lockbench
+	rm -rf $(ORACLE_DIR)/base
 	$(GO) build -o $(ORACLE_DIR)/lockbench-head ./cmd/lockbench
-	$(ORACLE_DIR)/lockbench-base $(ORACLE_ARGS) > $(ORACLE_DIR)/base-raw.txt
-	$(ORACLE_DIR)/lockbench-head $(ORACLE_ARGS) > $(ORACLE_DIR)/head-raw.txt
-	sed '/done in/d' $(ORACLE_DIR)/base-raw.txt > $(ORACLE_DIR)/base.txt
-	sed '/done in/d' $(ORACLE_DIR)/head-raw.txt > $(ORACLE_DIR)/head.txt
+	$(ORACLE_DIR)/lockbench-base $(ORACLE_ARGS) -json $(ORACLE_DIR)/base-runs > $(ORACLE_DIR)/base-raw.txt
+	$(ORACLE_DIR)/lockbench-head $(ORACLE_ARGS) -baseline $(ORACLE_DIR)/base-runs -diff > $(ORACLE_DIR)/head-raw.txt; \
+		echo $$? > $(ORACLE_DIR)/full-status
+	sed '/done in/d; /^### saved /{N;d;}' $(ORACLE_DIR)/base-raw.txt > $(ORACLE_DIR)/base.txt
+	sed '/done in/d; / vs baseline .*: no differences$$/d' $(ORACLE_DIR)/head-raw.txt > $(ORACLE_DIR)/head.txt
 	diff -u $(ORACLE_DIR)/base.txt $(ORACLE_DIR)/head.txt
-	@echo "oracle: output byte-identical to $(BASE)"
+	@test "$$(cat $(ORACLE_DIR)/full-status)" = 0 || { echo "oracle: stored runs differ from $(BASE) at full precision" >&2; exit 1; }
+	@echo "oracle: output byte-identical to $(BASE), stored runs equal at full precision"
 
 ci: lint build test race smoke results scenarios serve-smoke fleet-smoke bench-all bench-compare

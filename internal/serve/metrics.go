@@ -126,6 +126,12 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.CounterFunc("sim_event_pool_recycles_total",
 		"event slots returned to kernel free lists — allocations the pooled event queue avoided",
 		func() float64 { return float64(sim.GlobalStats().EventRecycles) })
+	reg.CounterFunc("sim_proc_resumes_total",
+		"simulated-thread coroutine resumes (Start and Wake)",
+		func() float64 { return float64(sim.GlobalStats().ProcResumes) })
+	reg.CounterFunc("sim_inline_sleeps_total",
+		"proc sleeps that advanced the kernel clock in place, with no event queued and no coroutine switch",
+		func() float64 { return float64(sim.GlobalStats().InlineSleeps) })
 	reg.CounterFunc("sim_heap_compactions_total",
 		"lazy-cancel compaction passes over kernel event heaps",
 		func() float64 { return float64(sim.GlobalStats().HeapCompactions) })

@@ -579,6 +579,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if d := after["sim_event_pool_recycles_total"] - before["sim_event_pool_recycles_total"]; d <= 0 {
 		t.Errorf("sim_event_pool_recycles_total did not move (delta %v)", d)
 	}
+	for _, name := range []string{"sim_proc_resumes_total", "sim_inline_sleeps_total"} {
+		if d := after[name] - before[name]; d <= 0 {
+			t.Errorf("%s did not move (delta %v)", name, d)
+		}
+	}
 	if after["sim_heap_high_water"] <= 0 {
 		t.Errorf("sim_heap_high_water = %v, want > 0", after["sim_heap_high_water"])
 	}

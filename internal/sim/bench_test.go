@@ -40,8 +40,10 @@ func BenchmarkKernelScheduleCancel(b *testing.B) {
 }
 
 // BenchmarkProcParkWake measures the self-wake path: a proc that sleeps
-// repeatedly with no interleaving events, i.e. park + timer wake, one
-// coroutine round trip between the proc and the Run loop per sleep.
+// repeatedly with no interleaving events. Each of its sleeps after the
+// first advances the clock in place (the inline self-wake in
+// Proc.Sleep), with no event queued and no coroutine switch;
+// BenchmarkProcHandoff measures the queue and coroutine round trip.
 func BenchmarkProcParkWake(b *testing.B) {
 	k := NewKernel(1)
 	n := b.N
@@ -58,7 +60,8 @@ func BenchmarkProcParkWake(b *testing.B) {
 // BenchmarkProcHandoff measures the cross-proc transfer path: two procs
 // whose sleep wakes interleave, so every park passes control through the
 // Run loop to the other proc (the pattern of every lock handover in the
-// simulator).
+// simulator). No sleep here can go inline: the other proc's wake-up is
+// always queued first.
 func BenchmarkProcHandoff(b *testing.B) {
 	k := NewKernel(1)
 	n := b.N

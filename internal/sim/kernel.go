@@ -84,14 +84,17 @@ type Kernel struct {
 	rng     *rand.Rand
 	stopped bool
 	until   Cycles // time limit of the current Run, 0 = none
+	looped  *Proc  // proc the Run loop is resuming for its timed wake-up
 
-	// nrecycled/ncompact/hiwater are kernel-local instrumentation
-	// counters, deliberately plain (not atomic): the hot loop bumps
-	// them for free and flushStats folds them into the process-wide
-	// telemetry totals at Run exit (see stats.go).
+	// nrecycled/ncompact/hiwater/nresumes/ninline are kernel-local
+	// instrumentation counters, deliberately plain (not atomic): the
+	// hot loop bumps them for free and flushStats folds them into the
+	// process-wide telemetry totals at Run exit (see stats.go).
 	nrecycled uint64
 	ncompact  uint64
 	hiwater   int
+	nresumes  uint64
+	ninline   uint64
 }
 
 // NewKernel returns a kernel with its clock at zero and the RNG seeded
@@ -324,7 +327,9 @@ func (k *Kernel) Run(until Cycles) Cycles {
 		k.recycle(e)
 		switch {
 		case p != nil:
+			k.looped = p
 			p.Wake(a)
+			k.looped = nil
 		case call != nil:
 			call(obj, a, b)
 		default:

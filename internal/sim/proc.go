@@ -86,6 +86,7 @@ func (p *Proc) Start() {
 		p.state = ProcDone
 	})
 	p.state = ProcRunning
+	p.k.nresumes++
 	p.next()
 }
 
@@ -114,6 +115,7 @@ func (p *Proc) Wake(val uint64) {
 	}
 	p.WakeVal = val
 	p.state = ProcRunning
+	p.k.nresumes++
 	p.next()
 }
 
@@ -126,11 +128,29 @@ func (p *Proc) WakeAt(d Cycles, val uint64) Event {
 
 // Sleep advances virtual time by d for this proc: it schedules its own
 // wake-up and parks. Other events run in the meantime.
+//
+// When that wake-up is certain to be the next event Run pops, Sleep
+// advances the clock in place instead (the inline self-wake, see
+// DESIGN.md): p was resumed by the Run loop for its own timed wake-up,
+// so no caller has work left at this instant; the queue holds nothing
+// before now+d, nor anything at now+d, which would fire first; Stop has
+// not been called; and now+d is within the Run limit. The wake-up's
+// sequence number is still consumed, so the (time, seq) order of every
+// later event is unchanged.
 func (p *Proc) Sleep(d Cycles) {
 	if d == 0 {
 		return
 	}
-	p.k.scheduleWake(d, p, 0)
+	k := p.k
+	if t := k.now + d; k.looped == p && (len(k.heap) == 0 || t < k.heap[0].at) &&
+		!k.stopped && (k.until == 0 || t <= k.until) {
+		k.seq++
+		k.now = t
+		p.WakeVal = 0
+		k.ninline++
+		return
+	}
+	k.scheduleWake(d, p, 0)
 	p.park()
 }
 

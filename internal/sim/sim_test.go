@@ -89,6 +89,9 @@ func TestKernelStop(t *testing.T) {
 		}
 	})
 	t.Run("proc body", func(t *testing.T) {
+		// The second Sleep would otherwise advance the clock in place
+		// (the proc was resumed by the Run loop and the queue is
+		// empty): after Stop it must park so Run can return.
 		k := NewKernel(1)
 		var seen []Cycles
 		p := k.Go(0, "p", 0, func(p *Proc) {

@@ -4,14 +4,17 @@ import "sync/atomic"
 
 // Process-wide kernel telemetry. The event-queue hot path never touches
 // these: each Kernel keeps plain local counters (nrecycled, ncompact,
-// hiwater) and flushes them here once per Run exit (flushStats), so
-// instrumentation costs the hot loop nothing and parallel sweeps do not
-// contend on shared cache lines. Scrape surfaces (the benchmark
-// service's /metrics) read them through Stats at their own pace.
+// hiwater, nresumes, ninline) and flushes them here once per Run exit
+// (flushStats), so instrumentation costs the hot loop nothing and
+// parallel sweeps do not contend on shared cache lines. Scrape surfaces
+// (the benchmark service's /metrics) read them through Stats at their
+// own pace.
 var (
 	totalRecycles    atomic.Uint64
 	totalCompactions atomic.Uint64
 	heapHighWater    atomic.Int64
+	totalResumes     atomic.Uint64
+	totalInline      atomic.Uint64
 )
 
 // Stats is a snapshot of the process-wide kernel counters, aggregated
@@ -26,6 +29,13 @@ type Stats struct {
 	// HeapHighWater is the largest event-heap length any kernel
 	// reached.
 	HeapHighWater int
+	// ProcResumes counts coroutine resumes: every Start and Wake,
+	// whether from the Run loop, a callback or another proc.
+	ProcResumes uint64
+	// InlineSleeps counts sleeps that advanced the clock in place
+	// instead of scheduling a wake-up and parking (the inline
+	// self-wake in Proc.Sleep).
+	InlineSleeps uint64
 }
 
 // GlobalStats returns the current process-wide kernel counters.
@@ -34,11 +44,13 @@ func GlobalStats() Stats {
 		EventRecycles:   totalRecycles.Load(),
 		HeapCompactions: totalCompactions.Load(),
 		HeapHighWater:   int(heapHighWater.Load()),
+		ProcResumes:     totalResumes.Load(),
+		InlineSleeps:    totalInline.Load(),
 	}
 }
 
 // flushStats folds this kernel's local counters into the process-wide
-// totals: two atomic adds and a CAS-max, paid once per Run, not per
+// totals: a few atomic adds and a CAS-max, paid once per Run, not per
 // event.
 func (k *Kernel) flushStats() {
 	if k.nrecycled != 0 {
@@ -48,6 +60,14 @@ func (k *Kernel) flushStats() {
 	if k.ncompact != 0 {
 		totalCompactions.Add(k.ncompact)
 		k.ncompact = 0
+	}
+	if k.nresumes != 0 {
+		totalResumes.Add(k.nresumes)
+		k.nresumes = 0
+	}
+	if k.ninline != 0 {
+		totalInline.Add(k.ninline)
+		k.ninline = 0
 	}
 	hw := int64(k.hiwater)
 	for {
