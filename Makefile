@@ -54,7 +54,8 @@ sweep:
 	$(GO) run ./cmd/lockbench -experiment all -quick -workers $(WORKERS)
 
 # The CI smoke steps: quick experiments plus the parallel-vs-serial
-# output comparison.
+# output comparison, then fig13 over all 17 Table 3 planes (quick grids
+# cover only 4 of them).
 smoke:
 	$(GO) run ./cmd/lockbench -list
 	$(GO) run ./cmd/lockbench -experiment tbl2 -quick -workers 4
@@ -63,6 +64,7 @@ smoke:
 	$(GO) run ./cmd/lockbench -experiment fig8 -quick -scale 0.25 -workers 8 | sed '/done in/d' > /tmp/lockin-parallel.txt
 	diff -u /tmp/lockin-serial.txt /tmp/lockin-parallel.txt
 	$(GO) run ./examples/polysweep -workers 4
+	$(GO) run ./cmd/lockbench -experiment fig13 -scale 0.05 -workers 4
 
 # The CI determinism gate: save a quick baseline of every experiment,
 # rerun, and self-diff (zero differences), then check that a sharded

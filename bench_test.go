@@ -7,7 +7,6 @@ import (
 
 	"lockin/internal/core"
 	"lockin/internal/experiments"
-	"lockin/internal/systems"
 	"lockin/internal/workload"
 )
 
@@ -93,15 +92,15 @@ func BenchmarkSimLock(b *testing.B) {
 	}
 }
 
-// BenchmarkSystems runs one representative system profile per lock,
-// reporting simulated throughput.
+// BenchmarkSystems runs one representative Table 3 cell per system
+// shape under two locks, reporting simulated throughput.
 func BenchmarkSystems(b *testing.B) {
-	defs := []systems.Definition{
-		systems.HamsterDB()[0],
-		systems.Memcached()[1],
-		systems.SQLite()[0],
-	}
-	for _, d := range defs {
+	for _, d := range Systems() {
+		switch d.ID() {
+		case "HamsterDB/WT", "Memcached/SET/GET", "SQLite/16 CON":
+		default:
+			continue
+		}
 		for _, k := range []core.Kind{core.KindMutex, core.KindMutexee} {
 			d, k := d, k
 			b.Run(fmt.Sprintf("%s/%s", d.ID(), k), func(b *testing.B) {

@@ -17,6 +17,7 @@ import (
 	"lockin/internal/metrics"
 	"lockin/internal/sim"
 	"lockin/internal/sweep"
+	"lockin/internal/systems"
 )
 
 // Options tunes an experiment run.
@@ -131,6 +132,12 @@ type Experiment struct {
 	// what each table row's leading columns mean. Nil for the built-in
 	// figures (whose grids are hand-coded); compiled scenarios fill it.
 	Axes func(o Options) []sweep.Axis
+	// Plane, when non-nil, fixes every non-lock sweep axis of the
+	// experiment's declarative spec at the given values and returns
+	// that point as a system definition (scenario.Compiled.Plane).
+	// Compiled scenarios fill it; the Table 3 cells of Figures 13-15
+	// are resolved through it (see Systems).
+	Plane func(at map[string]any) (systems.Definition, error)
 	// Run executes the experiment and returns its rendered tables.
 	Run func(o Options) []*metrics.Table
 }

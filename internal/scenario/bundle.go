@@ -8,11 +8,12 @@ import (
 	"lockin/internal/experiments"
 )
 
-// The bundled scenario library: the §6 system profiles re-expressed
-// declaratively plus contention patterns the paper never ran. Every
-// spec in specs/ compiles and registers as an experiment at init, so
-// importing this package makes them runnable as
-// `lockbench -experiment scenario:<name>`.
+// The bundled scenario library: the paper's six §6 systems — the only
+// definition of them; each Table 3 cell is a plane of one of these
+// specs (see Compiled.Plane) — plus contention patterns the paper
+// never ran. Every spec in specs/ compiles and registers as an
+// experiment at init, so importing this package makes them runnable
+// as `lockbench -experiment scenario:<name>`.
 //
 //go:embed specs/*.json
 var specFS embed.FS

@@ -1,10 +1,14 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
+	"strings"
 
 	"lockin/internal/core"
 	"lockin/internal/experiments"
@@ -19,7 +23,7 @@ import (
 // Compiled is a scenario lowered onto the simulation primitives: a
 // cell-grid experiment whose cells are the cross product of the spec's
 // sweep axes (a sweep.Space), each executed as a systems.Runner
-// profile on its own seeded machine.
+// workload on its own seeded machine.
 type Compiled struct {
 	Spec Spec
 	// Hash is the spec's content hash (see Spec.Hash); it rides into
@@ -103,6 +107,7 @@ func (c *Compiled) Experiment() experiments.Experiment {
 		Paper:    paper,
 		SpecHash: c.Hash,
 		Axes:     c.RunAxes,
+		Plane:    c.Plane,
 		Run:      c.Run,
 	}
 }
@@ -193,6 +198,53 @@ func axisOf[T any](name string, vals []T) sweep.Axis {
 		anys[i] = v
 	}
 	return sweep.NewAxis(name, anys...)
+}
+
+// Plane fixes every declared non-lock axis of the spec at the values
+// in at and returns that point of the space as a system definition,
+// to run under whatever lock factory the caller passes. Each (system,
+// configuration) cell of the paper's Table 3 is a plane of a bundled
+// spec (see experiments.Systems). Every key must name a declared
+// non-lock axis and every such axis must be given. The values need not
+// be among the axis' declared points: the spec is re-validated with
+// each axis holding just its plane value, so a value passes exactly
+// the checks a sweep point of that axis would.
+func (c *Compiled) Plane(at map[string]any) (systems.Definition, error) {
+	var declared []string
+	for _, a := range c.DeclaredAxes() {
+		if a.Name != "lock" {
+			declared = append(declared, a.Name)
+		}
+	}
+	want := strings.Join(declared, ", ")
+	point := map[string][]any{}
+	for _, k := range slices.Sorted(maps.Keys(at)) {
+		if !slices.Contains(declared, k) {
+			return systems.Definition{}, fmt.Errorf("scenario %s: plane: %q is not a declared non-lock axis (want %s)", c.Spec.Name, k, want)
+		}
+		point[k] = []any{at[k]}
+	}
+	for _, k := range declared {
+		if _, ok := at[k]; !ok {
+			return systems.Definition{}, fmt.Errorf("scenario %s: plane: axis %s left unfixed (fix every one of %s)", c.Spec.Name, k, want)
+		}
+	}
+	s := c.Spec
+	s.Sweep = SweepSpec{Locks: c.Spec.Sweep.Locks}
+	b, err := json.Marshal(point)
+	if err == nil {
+		err = json.Unmarshal(b, &s.Sweep)
+	}
+	if err != nil {
+		return systems.Definition{}, fmt.Errorf("scenario %s: plane: %w", c.Spec.Name, err)
+	}
+	pc, err := Compile(&s)
+	if err != nil {
+		return systems.Definition{}, fmt.Errorf("plane: %w", err)
+	}
+	ax := pc.axes(false)
+	p := ax.at(ax.space(), 0)
+	return systems.Definition{Threads: pc.totalThreads(p), Build: pc.buildFn(p, nil)}, nil
 }
 
 // resolvedAxes are one run's sweep axes after quick trimming, in the

@@ -1,17 +1,15 @@
 package scenario
 
 import (
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"lockin/internal/core"
 	"lockin/internal/experiments"
 	"lockin/internal/metrics"
 	"lockin/internal/results"
-	"lockin/internal/systems"
-	"lockin/internal/workload"
 )
 
 // bundled returns one compiled bundled scenario by name.
@@ -80,89 +78,73 @@ func TestBundledRegistered(t *testing.T) {
 	}
 }
 
-// handTable runs the given hand-coded §6 definitions through the same
-// grid (def-major, lock-minor, identical cell seeds) and renders them
-// with the scenario row formula, cloning title/header/notes from the
-// scenario table so results.Diff pairs them up. extras[di], when
-// non-nil, are axis-value cells spliced in after the lock column —
-// the columns a declared extra axis adds.
-func handTable(t *testing.T, o experiments.Options, like *metrics.Table,
-	defs []systems.Definition, css []int64, extras [][]any, kinds []core.Kind) *metrics.Table {
-	t.Helper()
-	var jobs []systems.Job
-	for _, d := range defs {
-		for _, k := range kinds {
-			jobs = append(jobs, systems.Job{
-				Def: d, Factory: workload.FactoryFor(k),
-				Warmup: o.Window(300_000), Duration: o.Window(10_000_000),
-			})
-		}
+// renderHash is the FNV-1a hash of every rendered table of a run,
+// notes included, each followed by a blank line.
+func renderHash(tabs []*metrics.Table) uint64 {
+	h := fnv.New64a()
+	for _, tab := range tabs {
+		h.Write([]byte(tab.String()))
+		h.Write([]byte{'\n'})
 	}
-	res := systems.RunJobs(o.SweepOptions(), jobs)
-	want := metrics.NewTable(like.Title, like.Header...)
-	i := 0
-	for di, d := range defs {
-		for _, k := range kinds {
-			r := res[i]
-			i++
-			row := []any{d.Threads, css[di], k.String()}
-			if extras != nil {
-				row = append(row, extras[di]...)
+	return h.Sum64()
+}
+
+// TestSpecBytesPinned pins the rendered output of the kyoto and
+// hamsterdb specs. These are the runs that used to be compared with
+// hand-coded Go profiles of Kyoto Cabinet and HamsterDB, which matched
+// them byte for byte; the hashes were recorded from that code, so the
+// specs still produce the profiles' exact bytes.
+func TestSpecBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		seed int64
+		want uint64
+	}{
+		{"kyoto", 42, 0x317a77a20868e879},
+		{"hamsterdb", 7, 0xa590b296f2a879a6},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			tabs := bundled(t, tc.spec).Run(experiments.Options{Seed: tc.seed, Scale: 0.5, Workers: 4})
+			if got := renderHash(tabs); got != tc.want {
+				t.Fatalf("%s at seed %d renders to hash %#x, want %#x:\n%s", tc.spec, tc.seed, got, tc.want, tabs[0])
 			}
-			row = append(row, r.Throughput()/1e3, r.TPP()/1e3,
-				float64(r.Latency.Percentile(0.99))/1e3)
-			want.AddRow(row...)
-		}
-	}
-	for _, n := range like.Notes {
-		want.AddNote("%s", n)
-	}
-	return want
-}
-
-// TestKyotoSpecReproducesHandCodedProfile is the subsystem's
-// acceptance test: the bundled kyoto spec must reproduce the
-// hand-coded systems.Kyoto() profile — same table structure, every
-// value within the results.Diff default tolerance (exact), and the
-// rendered tables byte-identical — proving the compiler lowers a spec
-// onto exactly the primitives the Go profile uses.
-func TestKyotoSpecReproducesHandCodedProfile(t *testing.T) {
-	o := experiments.Options{Seed: 42, Scale: 0.5, Workers: 4}
-	got := bundled(t, "kyoto").Run(o)
-	if len(got) != 1 {
-		t.Fatalf("kyoto produced %d tables, want 1", len(got))
-	}
-	kinds := []core.Kind{core.KindMutex, core.KindTicket, core.KindMutexee}
-	want := handTable(t, o, got[0], systems.Kyoto(), []int64{3200, 3600, 4500}, nil, kinds)
-
-	rep := results.Diff(
-		&results.Run{Tables: []*metrics.Table{want}},
-		&results.Run{Tables: got},
-		results.Tolerance{})
-	if !rep.Empty() {
-		t.Fatalf("spec-compiled kyoto differs from the hand-coded profile:\n%s", rep)
-	}
-	if want.String() != got[0].String() {
-		t.Fatalf("rendered tables differ:\n--- hand-coded ---\n%s--- compiled ---\n%s", want, got[0])
+		})
 	}
 }
 
-// TestHamsterDBSpecReproducesHandCodedProfiles pins the folded
-// hamsterdb spec — a read-ratio axis over the reader-writer
-// environment lock — to ALL THREE hand-coded HamsterDB configurations
-// (RD 90%, WT/RD 50%, WT 10% reads), including their RNG draw
-// sequences: one 9-cell multi-axis grid, byte-identical to the three
-// profiles run def-major through the same seeds.
-func TestHamsterDBSpecReproducesHandCodedProfiles(t *testing.T) {
-	o := experiments.Options{Seed: 7, Scale: 0.5, Workers: 4}
-	got := bundled(t, "hamsterdb").Run(o)
-	ham := systems.HamsterDB() // WT, WT/RD, RD — the read axis runs 90, 50, 10
-	defs := []systems.Definition{ham[2], ham[1], ham[0]}
-	kinds := []core.Kind{core.KindMutex, core.KindTicket, core.KindMutexee}
-	want := handTable(t, o, got[0], defs, []int64{0, 0, 0},
-		[][]any{{90}, {50}, {10}}, kinds)
-	if want.String() != got[0].String() {
-		t.Fatalf("rendered tables differ:\n--- hand-coded ---\n%s--- compiled ---\n%s", want, got[0])
+// TestPlaneErrors: a plane must fix exactly the spec's declared
+// non-lock axes, each with a value the axis' validation accepts, and
+// the error must name the axis and what it accepts.
+func TestPlaneErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name, spec string
+		at         map[string]any
+		want       []string // substrings of the error
+	}{
+		{"unknown axis", "hamsterdb", map[string]any{"read": 10, "writes": 3}, []string{`"writes"`, "want read"}},
+		{"lock axis", "kyoto", map[string]any{"cs": 3200, "lock": "MUTEX"}, []string{`"lock"`, "want cs"}},
+		{"undeclared axis", "kyoto", map[string]any{"cs": 3200, "threads": 8}, []string{`"threads"`, "want cs"}},
+		{"axis left unfixed", "memcached_get", map[string]any{"read": 90}, []string{"skew left unfixed", "read, skew"}},
+		{"nothing fixed", "sqlite", nil, []string{"threads left unfixed"}},
+		{"read out of range", "rocksdb", map[string]any{"read": 101}, []string{"sweep.read axis", "[0, 100]"}},
+		{"negative skew", "memcached_get", map[string]any{"read": 90, "skew": -1.0}, []string{"sweep.skew axis", "non-negative"}},
+		{"zero threads", "sqlite", map[string]any{"threads": 0}, []string{"sweep.threads axis", "[1, 4096]"}},
+		{"non-positive cs", "kyoto", map[string]any{"cs": 0}, []string{"sweep.cs axis", "positive"}},
+		{"oversub too small", "mysql_mem", map[string]any{"oversub": 0.001}, []string{"sweep.oversub axis", "out of range"}},
+		{"fractional read", "hamsterdb", map[string]any{"read": 10.5}, []string{"SweepSpec.read", "of type int"}},
+		{"string value", "kyoto", map[string]any{"cs": "3200"}, []string{"SweepSpec.cs", "of type int64"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := bundled(t, tc.spec).Plane(tc.at)
+			if err == nil {
+				t.Fatalf("plane %v of %s accepted", tc.at, tc.spec)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Fatalf("error %q does not mention %q", err, w)
+				}
+			}
+		})
 	}
 }
 

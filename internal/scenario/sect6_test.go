@@ -4,10 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"lockin/internal/core"
 	"lockin/internal/experiments"
+	"lockin/internal/machine"
 	"lockin/internal/metrics"
 	"lockin/internal/results"
 	"lockin/internal/sweep"
+	"lockin/internal/workload"
 )
 
 // col returns the index of a header column.
@@ -198,5 +201,30 @@ func TestSliceReproducesLegacyMemcached(t *testing.T) {
 		if strings.Join(lr[i], "|") != strings.Join(sr[i], "|") {
 			t.Fatalf("row %d not byte-identical:\nlegacy %v\nsliced %v", i, lr[i], sr[i])
 		}
+	}
+}
+
+// TestRocksDBWriteQueueFormsBatches: the condqueue leader drops the
+// queue lock while it writes its 12000-cycle batch, so writers that
+// arrive meanwhile wait as followers and one batch commits them all.
+// The WT plane (read = 10) must therefore sustain more writes per
+// second than one batch at a time allows: the machine's cycles per
+// second over the batch length. A leader that holds the queue lock
+// across the batch makes every writer a leader, and throughput stays
+// under that bound (about 151 K ops/s at this seed and window).
+func TestRocksDBWriteQueueFormsBatches(t *testing.T) {
+	d, err := bundled(t, "rocksdb").Plane(map[string]any{"read": 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := machine.DefaultConfig(1)
+	res := d.Run(mc, workload.FactoryFor(core.KindMutex), defaultWarmup, 2_500_000)
+	const batch = 12_000
+	oneAtATime := mc.Power.BaseFreqGHz * 1e9 / batch
+	// About 90% of operations are writes. Count only half of them, so
+	// the check holds whatever the read draws were.
+	if writes := res.Throughput() / 2; writes <= oneAtATime {
+		t.Fatalf("at least %.0f writes/s, want more than one batch at a time allows (%.0f/s): the write queue forms no batches",
+			writes, oneAtATime)
 	}
 }

@@ -1,24 +1,22 @@
-// Package systems models the six software systems of the paper's §6
-// evaluation — HamsterDB, Kyoto Cabinet, Memcached, MySQL, RocksDB and
-// SQLite — as synthetic lock-usage profiles, plus the Figure 1
-// CopyOnWriteArrayList stress test and the Figure 2 memory-stress
-// benchmark.
+// Package systems runs whole-system workloads on the simulated
+// machine: a Runner hosts one execution (machine, measurement window,
+// operation accounting), a Definition is a workload body built against
+// it, and RunJobs fans definitions × lock factories out as a parallel
+// sweep. It also defines the Figure 1 CopyOnWriteArrayList stress
+// test, the Figure 2 memory-stress benchmark, the waiting stress tests
+// of Figures 3-5 and the idle-power baseline.
 //
-// The paper attributes every §6 effect to how each system uses pthread
-// locks: HamsterDB and Kyoto serialize on one hot lock (sleeping "kills"
-// throughput); Memcached mixes a hot cache lock with striped bucket
-// locks; MySQL and SQLite oversubscribe threads to cores (spinning
-// "kills" throughput and fair spinlocks collapse); RocksDB funnels
-// writers through a condvar-based write queue, so the mutex choice
-// barely matters. The profiles encode exactly those patterns; swapping
-// the lock algorithm under them reproduces Figures 13-15.
+// The six §6 systems of the paper (HamsterDB, Kyoto Cabinet,
+// Memcached, MySQL, RocksDB, SQLite) are not defined here: each is a
+// bundled declarative spec (internal/scenario/specs), and each Table 3
+// cell is a plane of one spec — a fixed value for every non-lock axis —
+// resolved into a Definition by experiments.Systems.
 package systems
 
 import (
 	"fmt"
 	"math/rand"
 
-	"lockin/internal/core"
 	"lockin/internal/machine"
 	"lockin/internal/metrics"
 	"lockin/internal/power"
@@ -28,7 +26,7 @@ import (
 )
 
 // Runner hosts one system execution: machine, measurement window and
-// operation accounting shared by all profile bodies.
+// operation accounting shared by all workload bodies.
 type Runner struct {
 	M        *machine.Machine
 	measFrom sim.Cycles
@@ -94,13 +92,15 @@ func (r *Runner) Finish() Result {
 	}
 }
 
-// Definition describes one (system, configuration) cell of Table 3.
+// Definition describes one workload: a (system, configuration) label,
+// its thread count and the body that spawns its threads — a Table 3
+// cell, a compiled scenario point or one of the stress tests.
 type Definition struct {
 	System  string
 	Config  string
 	Threads int
-	// Build spawns the profile's threads against the runner using locks
-	// from the factory.
+	// Build spawns the workload's threads against the runner using
+	// locks from the factory.
 	Build func(r *Runner, f workload.LockFactory)
 }
 
@@ -112,29 +112,6 @@ func (d Definition) Run(mc machine.Config, f workload.LockFactory, warmup, durat
 	r := NewRunner(mc, warmup, duration)
 	d.Build(r, f)
 	return r.Finish()
-}
-
-// All returns the 17 (system, configuration) cells of Figures 13-14, in
-// the paper's order.
-func All() []Definition {
-	var out []Definition
-	out = append(out, HamsterDB()...)
-	out = append(out, Kyoto()...)
-	out = append(out, Memcached()...)
-	out = append(out, MySQL()...)
-	out = append(out, RocksDB()...)
-	out = append(out, SQLite()...)
-	return out
-}
-
-// Find returns the definition with the given ID.
-func Find(id string) (Definition, error) {
-	for _, d := range All() {
-		if d.ID() == id {
-			return d, nil
-		}
-	}
-	return Definition{}, fmt.Errorf("systems: unknown definition %q", id)
 }
 
 // Job is one sweep cell: a system definition executed under one lock
@@ -168,22 +145,12 @@ func RunJobs(o sweep.Options, jobs []Job) []Result {
 
 // Block deschedules the thread for roughly d cycles, modelling
 // blocking I/O: the hardware context is released to the OS until the
-// wakeup fires. Profiles and compiled scenarios use it for SSD reads
-// and bursty producers.
+// wakeup fires. Compiled scenarios use it for SSD reads and bursty
+// producers.
 func Block(t *machine.Thread, d sim.Cycles) {
 	th := t.Thread
 	s := th.Scheduler()
 	k := s.Kernel()
 	k.Schedule(d, func() { s.Unblock(th, 0) })
 	th.Block()
-}
-
-// lockedOp is the common "acquire, work, release, note" request body.
-func lockedOp(r *Runner, t *machine.Thread, l core.Lock, cs, outside sim.Cycles) {
-	start := t.Proc().Now()
-	l.Lock(t)
-	t.Compute(cs)
-	l.Unlock(t)
-	r.Note(t, start)
-	t.Compute(outside)
 }

@@ -129,9 +129,12 @@ func RunMicroSweep(o SweepOptions, cfgs []MicroConfig) []MicroResult {
 // FactoryFor adapts a Kind into the factory used by MicroConfig.
 func FactoryFor(k Kind) workload.LockFactory { return workload.FactoryFor(k) }
 
-// Systems returns the six software-system profiles of the paper's §6
-// evaluation (Table 3: 17 system/configuration cells).
-func Systems() []systems.Definition { return systems.All() }
+// Systems returns the 17 (system, configuration) cells of Table 3,
+// the six software systems of the paper's §6 evaluation. Each cell is
+// a plane of a bundled declarative spec (scenario:hamsterdb,
+// scenario:kyoto, ...): one fixed value for each of the spec's
+// non-lock sweep axes.
+func Systems() []systems.Definition { return experiments.Systems() }
 
 // Experiments returns every paper table/figure runner.
 func Experiments() []experiments.Experiment { return experiments.All() }
